@@ -18,19 +18,18 @@
 //! ```
 
 use std::process::ExitCode;
+use std::time::Instant;
 use wsan_bench::{results_dir, run_main, write_err, RunOptions};
 use wsan_expr::campaigns;
 use wsan_expr::table;
-use wsan_obs::PhaseProfiler;
 
 fn main() -> ExitCode {
     run_main(|| {
         let opts = RunOptions::try_parse(1)?;
-        let mut profiler = PhaseProfiler::new();
-        let results = profiler.time("fault campaign", || {
-            campaigns::faults(&opts.sweep(), &opts.campaign("fault_campaign"))
-        });
-        let (results, summary) = results?;
+        let started = Instant::now();
+        let (results, summary) =
+            campaigns::faults(&opts.sweep(), &opts.campaign("fault_campaign"))?;
+        let campaign_s = started.elapsed().as_secs_f64();
         for result in &results {
             println!(
                 "\n==== {} fault campaign: {} flows, fault-free network PDR {} ====",
@@ -56,16 +55,14 @@ fn main() -> ExitCode {
             print!("{}", table::render(&headers, &rows));
         }
         let path = results_dir().join("fault_campaign.json");
-        profiler.time("write results", || {
-            table::write_json(&path, &results).map_err(write_err(&path))
-        })?;
+        table::write_json(&path, &results).map_err(write_err(&path))?;
         println!(
             "\nresults written under {} ({} points executed, {} resumed)",
             results_dir().display(),
             summary.executed,
             summary.resumed
         );
-        eprint!("{}", profiler.finish().render());
+        eprintln!("fault campaign: {campaign_s:.3}s");
         Ok(())
     })
 }

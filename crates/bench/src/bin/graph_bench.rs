@@ -26,7 +26,8 @@ use serde::Serialize;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
-use wsan_bench::{results_dir, run_main, write_err, BenchError};
+use wsan_bench::harness::{elapsed_ns, median_ns, write_report, BenchArgs, BenchSpec};
+use wsan_bench::{run_main, BenchError};
 use wsan_net::plants::{generate, PlantConfig};
 use wsan_net::{ChannelId, NodeId, UNREACHABLE};
 
@@ -73,53 +74,14 @@ struct Report {
     parallel_identical: bool,
 }
 
-struct Options {
-    iters: usize,
-    seed: u64,
-    nodes: usize,
-    jobs: usize,
-    out: Option<std::path::PathBuf>,
-}
-
-fn parse_args() -> Result<Options, BenchError> {
-    const USAGE: &str = "supported: --iters N --seed S --nodes N --jobs N --quick --out PATH";
-    let mut opts = Options { iters: 5, seed: 42, nodes: 1200, jobs: 4, out: None };
-    let mut args = std::env::args().skip(1);
-    fn value<T: std::str::FromStr>(flag: &str, next: Option<String>) -> Result<T, BenchError> {
-        let raw =
-            next.ok_or_else(|| BenchError::Usage(format!("{flag} needs a value; {USAGE}")))?;
-        raw.parse()
-            .map_err(|_| BenchError::Usage(format!("{flag} got malformed value '{raw}'; {USAGE}")))
-    }
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--iters" => opts.iters = value("--iters", args.next())?,
-            "--seed" => opts.seed = value("--seed", args.next())?,
-            "--nodes" => opts.nodes = value("--nodes", args.next())?,
-            "--jobs" => opts.jobs = value("--jobs", args.next())?,
-            "--out" => {
-                opts.out =
-                    Some(std::path::PathBuf::from(args.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--out needs a value; {USAGE}"))
-                    })?));
-            }
-            "--quick" => opts.iters = opts.iters.min(2),
-            other => return Err(BenchError::Usage(format!("unknown argument {other}; {USAGE}"))),
-        }
-    }
-    if opts.iters == 0 {
-        return Err(BenchError::Usage(format!("--iters must be at least 1; {USAGE}")));
-    }
-    if opts.jobs == 0 {
-        return Err(BenchError::Usage(format!("--jobs must be at least 1; {USAGE}")));
-    }
-    Ok(opts)
-}
-
-fn median(samples: &mut [u64]) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
+const SPEC: BenchSpec = BenchSpec {
+    report: "BENCH_graph.json",
+    iters: 5,
+    quick_iters: 2,
+    seed: 42,
+    nodes: Some(1200),
+    jobs: Some(4),
+};
 
 /// Times `build` over `iters` runs and returns (median ns, last result).
 fn time_builds<T>(iters: usize, mut build: impl FnMut() -> T) -> (u64, T) {
@@ -128,15 +90,15 @@ fn time_builds<T>(iters: usize, mut build: impl FnMut() -> T) -> (u64, T) {
     for _ in 0..iters {
         let started = Instant::now();
         let built = black_box(build());
-        samples.push(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX).max(1));
+        samples.push(elapsed_ns(started));
         last = Some(built);
     }
-    (median(&mut samples), last.expect("iters >= 1"))
+    (median_ns(&mut samples), last.expect("iters >= 1"))
 }
 
 fn main() -> ExitCode {
     run_main(|| {
-        let opts = parse_args()?;
+        let opts = BenchArgs::parse(&SPEC)?;
         let plant_cfg = PlantConfig::city(format!("city-{}", opts.nodes), opts.nodes);
         let plant = generate(&plant_cfg, opts.seed);
         let channels = ChannelId::all();
@@ -232,16 +194,8 @@ fn main() -> ExitCode {
             report.speedup_parallel_vs_dense,
         );
 
-        let out = opts.out.unwrap_or_else(|| results_dir().join("BENCH_graph.json"));
-        if let Some(parent) = out.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(write_err(parent))?;
-            }
-        }
-        let json = serde_json::to_string_pretty(&report)
-            .map_err(|e| BenchError::Run(format!("cannot serialise report: {e}")))?;
-        std::fs::write(&out, json).map_err(write_err(&out))?;
-        println!("report written to {}", out.display());
+        write_report(&opts.out, &report)?;
+        println!("report written to {}", opts.out.display());
         Ok(())
     })
 }

@@ -21,11 +21,12 @@
 
 use serde::Serialize;
 use std::process::ExitCode;
-use wsan_bench::{results_dir, run_main, write_err, BenchError};
+use wsan_bench::harness::{median_ns, write_report, BenchArgs, BenchSpec};
+use wsan_bench::{run_main, BenchError};
 use wsan_core::shard::ShardConfig;
-use wsan_expr::sharding::schedule_sharded;
+use wsan_expr::sharding::{schedule_sharded, ShardedReport};
 use wsan_expr::Algorithm;
-use wsan_net::plants::{generate, PlantConfig};
+use wsan_net::plants::{generate, Plant, PlantConfig};
 use wsan_net::ChannelId;
 
 /// The file-format tag checked by ci.sh's smoke step.
@@ -34,6 +35,9 @@ const SCHEMA: &str = "wsan.shard_bench/1";
 /// Total flows scheduled across the whole plant, constant over every
 /// shard count (divisible by 1, 2, 4, and 8) so the comparison is fair.
 const TOTAL_FLOWS: usize = 24;
+
+/// The scheduler every shard runs.
+const ALGORITHM: Algorithm = Algorithm::Rc { rho_t: 2 };
 
 #[derive(Debug, Serialize)]
 struct ScenarioResult {
@@ -105,71 +109,68 @@ struct Report {
     scale: Vec<ScalePoint>,
 }
 
-struct Options {
-    iters: usize,
+const SPEC: BenchSpec = BenchSpec {
+    report: "BENCH_shard.json",
+    iters: 5,
+    quick_iters: 2,
+    seed: 42,
+    nodes: Some(1200),
+    jobs: None,
+};
+
+/// One timed point: `iters` pool runs plus the medians of their stage
+/// timings. The digest is pinned across the runs and against a final
+/// sequential (`jobs = 1`) run: the pool must never change the schedule.
+struct TimedPoint {
+    /// The last pool run's shape and digest.
+    report: ShardedReport,
+    median_schedule_ns: u64,
+    median_stitch_ns: u64,
+    median_validate_ns: u64,
+}
+
+fn time_point(
+    plant: &Plant,
+    shards: usize,
     seed: u64,
-    nodes: usize,
-    out: Option<std::path::PathBuf>,
-}
-
-fn parse_args() -> Result<Options, BenchError> {
-    const USAGE: &str = "supported: --iters N --seed S --nodes N --quick --out PATH";
-    let mut opts = Options { iters: 5, seed: 42, nodes: 1200, out: None };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--iters" => {
-                let raw = args
-                    .next()
-                    .ok_or_else(|| BenchError::Usage(format!("--iters needs a value; {USAGE}")))?;
-                opts.iters = raw.parse().map_err(|_| {
-                    BenchError::Usage(format!("--iters got malformed value '{raw}'; {USAGE}"))
-                })?;
-            }
-            "--seed" => {
-                let raw = args
-                    .next()
-                    .ok_or_else(|| BenchError::Usage(format!("--seed needs a value; {USAGE}")))?;
-                opts.seed = raw.parse().map_err(|_| {
-                    BenchError::Usage(format!("--seed got malformed value '{raw}'; {USAGE}"))
-                })?;
-            }
-            "--nodes" => {
-                let raw = args
-                    .next()
-                    .ok_or_else(|| BenchError::Usage(format!("--nodes needs a value; {USAGE}")))?;
-                opts.nodes = raw.parse().map_err(|_| {
-                    BenchError::Usage(format!("--nodes got malformed value '{raw}'; {USAGE}"))
-                })?;
-            }
-            "--out" => {
-                opts.out =
-                    Some(std::path::PathBuf::from(args.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--out needs a value; {USAGE}"))
-                    })?));
-            }
-            "--quick" => opts.iters = opts.iters.min(2),
-            other => return Err(BenchError::Usage(format!("unknown argument {other}; {USAGE}"))),
+    iters: usize,
+    label: &str,
+) -> Result<TimedPoint, BenchError> {
+    let cfg =
+        ShardConfig { flows_per_shard: TOTAL_FLOWS / shards, ..ShardConfig::new(shards, seed, 0) };
+    let run = |jobs| {
+        schedule_sharded(plant, &ChannelId::all(), &cfg, &ALGORITHM, jobs)
+            .map(|outcome| outcome.report)
+            .map_err(|e| BenchError::Run(format!("{label}: {e}")))
+    };
+    let mut samples: [Vec<u64>; 3] = Default::default();
+    let mut last: Option<ShardedReport> = None;
+    for _ in 0..iters {
+        let report = run(0)?;
+        if last.is_some_and(|prev| prev.digest != report.digest) {
+            return Err(BenchError::Run(format!("{label}: digest changed between iterations")));
         }
+        for (stage, ns) in
+            samples.iter_mut().zip([report.schedule_ns, report.stitch_ns, report.validate_ns])
+        {
+            stage.push(ns.max(1));
+        }
+        last = Some(report);
     }
-    if opts.iters == 0 {
-        return Err(BenchError::Usage(format!("--iters must be at least 1; {USAGE}")));
+    let report = last.expect("at least one iteration");
+    if run(1)?.digest != report.digest {
+        return Err(BenchError::Run(format!("{label}: jobs=1 digest diverged from pool digest")));
     }
-    Ok(opts)
-}
-
-fn median(samples: &mut [u64]) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    let [median_schedule_ns, median_stitch_ns, median_validate_ns] =
+        samples.map(|mut stage| median_ns(&mut stage));
+    Ok(TimedPoint { report, median_schedule_ns, median_stitch_ns, median_validate_ns })
 }
 
 fn main() -> ExitCode {
     run_main(|| {
-        let opts = parse_args()?;
+        let opts = BenchArgs::parse(&SPEC)?;
         let plant_cfg = PlantConfig::city(format!("city-{}", opts.nodes), opts.nodes);
         let plant = generate(&plant_cfg, opts.seed);
-        let channels = ChannelId::all();
-        let algo = Algorithm::Rc { rho_t: 2 };
         println!(
             "== shard_bench: {} iters, seed {}, {} nodes, {} links ==",
             opts.iters,
@@ -185,73 +186,38 @@ fn main() -> ExitCode {
             target_nodes: opts.nodes as u64,
             nodes: plant.node_count() as u64,
             links: plant.links().len() as u64,
-            channels: channels.len() as u64,
-            algorithm: algo.to_string(),
+            channels: ChannelId::all().len() as u64,
+            algorithm: ALGORITHM.to_string(),
             scenarios: Vec::new(),
             scale: Vec::new(),
         };
 
         let mut single_gateway_ns = None;
         for shards in [1usize, 2, 4, 8] {
-            let cfg = ShardConfig {
-                flows_per_shard: TOTAL_FLOWS / shards,
-                ..ShardConfig::new(shards, opts.seed, 0)
-            };
-            let mut schedule_samples = Vec::with_capacity(opts.iters);
-            let mut stitch_samples = Vec::with_capacity(opts.iters);
-            let mut validate_samples = Vec::with_capacity(opts.iters);
-            let mut last = None;
-            for _ in 0..opts.iters {
-                let outcome = schedule_sharded(&plant, &channels, &cfg, &algo, 0)
-                    .map_err(|e| BenchError::Run(format!("{shards} shard(s): {e}")))?;
-                if let Some(prev) = &last {
-                    if *prev != outcome.report.digest {
-                        return Err(BenchError::Run(format!(
-                            "{shards} shard(s): digest changed between iterations"
-                        )));
-                    }
-                }
-                last = Some(outcome.report.digest);
-                schedule_samples.push(outcome.report.schedule_ns.max(1));
-                stitch_samples.push(outcome.report.stitch_ns.max(1));
-                validate_samples.push(outcome.report.validate_ns.max(1));
-                if schedule_samples.len() == opts.iters {
-                    // determinism pin: the full pool and a sequential run
-                    // must stitch byte-identical schedules
-                    let seq = schedule_sharded(&plant, &channels, &cfg, &algo, 1)
-                        .map_err(|e| BenchError::Run(format!("{shards} shard(s) seq: {e}")))?;
-                    if seq.report.digest != outcome.report.digest {
-                        return Err(BenchError::Run(format!(
-                            "{shards} shard(s): jobs=1 digest diverged from pool digest"
-                        )));
-                    }
-                    let median_schedule_ns = median(&mut schedule_samples);
-                    let median_stitch_ns = median(&mut stitch_samples);
-                    let median_validate_ns = median(&mut validate_samples);
-                    let single = *single_gateway_ns.get_or_insert(median_schedule_ns);
-                    let speedup = single as f64 / median_schedule_ns as f64;
-                    println!(
-                        "  k={shards}: schedule {:>8.2} ms  stitch {:>6.2} ms  validate {:>6.2} ms  \
-                         {} colors  speedup {speedup:.2}x",
-                        median_schedule_ns as f64 / 1e6,
-                        median_stitch_ns as f64 / 1e6,
-                        median_validate_ns as f64 / 1e6,
-                        outcome.report.colors,
-                    );
-                    report.scenarios.push(ScenarioResult {
-                        shards: shards as u64,
-                        colors: outcome.report.colors as u64,
-                        flows: outcome.report.flows as u64,
-                        entries: outcome.report.entries as u64,
-                        horizon: u64::from(outcome.report.horizon),
-                        digest: format!("{:016x}", outcome.report.digest),
-                        median_schedule_ns,
-                        median_stitch_ns,
-                        median_validate_ns,
-                        speedup_vs_single: speedup,
-                    });
-                }
-            }
+            let t =
+                time_point(&plant, shards, opts.seed, opts.iters, &format!("{shards} shard(s)"))?;
+            let single = *single_gateway_ns.get_or_insert(t.median_schedule_ns);
+            let speedup = single as f64 / t.median_schedule_ns as f64;
+            println!(
+                "  k={shards}: schedule {:>8.2} ms  stitch {:>6.2} ms  validate {:>6.2} ms  \
+                 {} colors  speedup {speedup:.2}x",
+                t.median_schedule_ns as f64 / 1e6,
+                t.median_stitch_ns as f64 / 1e6,
+                t.median_validate_ns as f64 / 1e6,
+                t.report.colors,
+            );
+            report.scenarios.push(ScenarioResult {
+                shards: shards as u64,
+                colors: t.report.colors as u64,
+                flows: t.report.flows as u64,
+                entries: t.report.entries as u64,
+                horizon: u64::from(t.report.horizon),
+                digest: format!("{:016x}", t.report.digest),
+                median_schedule_ns: t.median_schedule_ns,
+                median_stitch_ns: t.median_stitch_ns,
+                median_validate_ns: t.median_validate_ns,
+                speedup_vs_single: speedup,
+            });
         }
 
         // Scale sweep: the same pipeline at 5k and 10k nodes — the sizes
@@ -261,76 +227,40 @@ fn main() -> ExitCode {
         // the fine-grained timing trajectory.
         let scale_iters = opts.iters.min(2);
         for target in [5_000usize, 10_000] {
-            let scale_cfg = PlantConfig::city(format!("city-{target}"), target);
-            let scale_plant = generate(&scale_cfg, opts.seed);
+            let scale_plant =
+                generate(&PlantConfig::city(format!("city-{target}"), target), opts.seed);
             let shards = 8usize;
-            let cfg = ShardConfig {
-                flows_per_shard: TOTAL_FLOWS / shards,
-                ..ShardConfig::new(shards, opts.seed, 0)
-            };
-            let mut schedule_samples = Vec::with_capacity(scale_iters);
-            let mut stitch_samples = Vec::with_capacity(scale_iters);
-            let mut validate_samples = Vec::with_capacity(scale_iters);
-            let mut last = None;
-            for _ in 0..scale_iters {
-                let outcome = schedule_sharded(&scale_plant, &channels, &cfg, &algo, 0)
-                    .map_err(|e| BenchError::Run(format!("{target} nodes: {e}")))?;
-                if let Some(prev) = &last {
-                    if *prev != outcome.report.digest {
-                        return Err(BenchError::Run(format!(
-                            "{target} nodes: digest changed between iterations"
-                        )));
-                    }
-                }
-                last = Some(outcome.report.digest);
-                schedule_samples.push(outcome.report.schedule_ns.max(1));
-                stitch_samples.push(outcome.report.stitch_ns.max(1));
-                validate_samples.push(outcome.report.validate_ns.max(1));
-                if schedule_samples.len() == scale_iters {
-                    let seq = schedule_sharded(&scale_plant, &channels, &cfg, &algo, 1)
-                        .map_err(|e| BenchError::Run(format!("{target} nodes seq: {e}")))?;
-                    if seq.report.digest != outcome.report.digest {
-                        return Err(BenchError::Run(format!(
-                            "{target} nodes: jobs=1 digest diverged from pool digest"
-                        )));
-                    }
-                    let median_schedule_ns = median(&mut schedule_samples);
-                    let median_stitch_ns = median(&mut stitch_samples);
-                    let median_validate_ns = median(&mut validate_samples);
-                    println!(
-                        "  n={target}: schedule {:>8.2} ms  stitch {:>6.2} ms  \
-                         validate {:>6.2} ms  {} colors",
-                        median_schedule_ns as f64 / 1e6,
-                        median_stitch_ns as f64 / 1e6,
-                        median_validate_ns as f64 / 1e6,
-                        outcome.report.colors,
-                    );
-                    report.scale.push(ScalePoint {
-                        target_nodes: target as u64,
-                        nodes: outcome.report.nodes as u64,
-                        shards: shards as u64,
-                        colors: outcome.report.colors as u64,
-                        flows: outcome.report.flows as u64,
-                        entries: outcome.report.entries as u64,
-                        digest: format!("{:016x}", outcome.report.digest),
-                        median_schedule_ns,
-                        median_stitch_ns,
-                        median_validate_ns,
-                    });
-                }
-            }
+            let t = time_point(
+                &scale_plant,
+                shards,
+                opts.seed,
+                scale_iters,
+                &format!("{target} nodes"),
+            )?;
+            println!(
+                "  n={target}: schedule {:>8.2} ms  stitch {:>6.2} ms  \
+                 validate {:>6.2} ms  {} colors",
+                t.median_schedule_ns as f64 / 1e6,
+                t.median_stitch_ns as f64 / 1e6,
+                t.median_validate_ns as f64 / 1e6,
+                t.report.colors,
+            );
+            report.scale.push(ScalePoint {
+                target_nodes: target as u64,
+                nodes: t.report.nodes as u64,
+                shards: shards as u64,
+                colors: t.report.colors as u64,
+                flows: t.report.flows as u64,
+                entries: t.report.entries as u64,
+                digest: format!("{:016x}", t.report.digest),
+                median_schedule_ns: t.median_schedule_ns,
+                median_stitch_ns: t.median_stitch_ns,
+                median_validate_ns: t.median_validate_ns,
+            });
         }
 
-        let out = opts.out.unwrap_or_else(|| results_dir().join("BENCH_shard.json"));
-        if let Some(parent) = out.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(write_err(parent))?;
-            }
-        }
-        let json = serde_json::to_string_pretty(&report)
-            .map_err(|e| BenchError::Run(format!("cannot serialise report: {e}")))?;
-        std::fs::write(&out, json).map_err(write_err(&out))?;
-        println!("report written to {}", out.display());
+        write_report(&opts.out, &report)?;
+        println!("report written to {}", opts.out.display());
         Ok(())
     })
 }

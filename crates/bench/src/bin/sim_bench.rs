@@ -9,7 +9,16 @@
 //! so the perf trajectory is comparable across PRs. Both scenarios sit
 //! inside the draw-order contract of DESIGN.md §13, so every timed pair
 //! of runs is also asserted byte-identical — the benchmark doubles as an
-//! equivalence smoke. Hand-rolled `Instant` timing, ordinary binary:
+//! equivalence smoke.
+//!
+//! The dense scenario also prices the observability plane: the stepper
+//! run is repeated with a `NullSubscriber` installed, with metrics
+//! enabled, and with the flight recorder armed at trace level. Each of
+//! those reports must be byte-identical to the uninstrumented one (the
+//! binary exits non-zero otherwise), and the null-subscriber median
+//! should stay within 5% of `slot_stepper_median_ns` (DESIGN.md §9).
+//! Hand-rolled `Instant` timing on the shared [`wsan_bench::harness`],
+//! ordinary binary:
 //!
 //! ```sh
 //! cargo run --release -p wsan-bench --bin sim_bench [-- --iters 20 --quick --out PATH]
@@ -23,9 +32,10 @@
 use serde::Serialize;
 use std::collections::BTreeSet;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
-use wsan_bench::sched::median_ns;
-use wsan_bench::{results_dir, run_main, write_err, BenchError};
+use wsan_bench::harness::{elapsed_ns, median_ns, write_report, BenchArgs, BenchSpec};
+use wsan_bench::{run_main, BenchError};
 use wsan_core::{NetworkModel, NoReuse, Schedule, Scheduler};
 use wsan_flow::{
     priority, Flow, FlowId, FlowSet, FlowSetConfig, FlowSetGenerator, Period, PeriodRange,
@@ -33,7 +43,7 @@ use wsan_flow::{
 };
 use wsan_net::propagation::PropagationModel;
 use wsan_net::{testbeds, ChannelId, ChannelSet, NodeId, Position, Prr, Route, Topology};
-use wsan_sim::{SimConfig, Simulator};
+use wsan_sim::{SimConfig, SimReport, Simulator};
 
 /// The file-format tag checked by ci.sh's smoke step.
 const SCHEMA: &str = "wsan.sim_bench/1";
@@ -53,8 +63,17 @@ struct ScenarioResult {
     /// Median-over-median speedup of the event engine vs. the stepper —
     /// the acceptance series (≥ 3x at ≤ 10% occupancy).
     speedup_events_vs_slots: f64,
-    /// Every timed pair of runs compared byte for byte (always true when
-    /// the binary exits zero; recorded so the JSON is self-describing).
+    /// Stepper median with a `NullSubscriber` installed — the
+    /// zero-cost-when-off bar: within 5% of `slot_stepper_median_ns`.
+    /// Timed on the dense scenario only (`null` elsewhere).
+    null_subscriber_median_ns: Option<u64>,
+    /// Stepper median with the global metrics registry recording.
+    metrics_enabled_median_ns: Option<u64>,
+    /// Stepper median with the flight recorder armed at trace level.
+    flightrec_armed_median_ns: Option<u64>,
+    /// Every timed pair of runs (and every instrumented run against the
+    /// uninstrumented one) compared byte for byte (always true when the
+    /// binary exits zero; recorded so the JSON is self-describing).
     reports_identical: bool,
 }
 
@@ -66,41 +85,33 @@ struct Report {
     scenarios: Vec<ScenarioResult>,
 }
 
-struct Options {
-    iters: usize,
-    seed: u64,
-    out: Option<std::path::PathBuf>,
+const SPEC: BenchSpec = BenchSpec {
+    report: "BENCH_sim.json",
+    iters: 20,
+    quick_iters: 3,
+    seed: 42,
+    nodes: None,
+    jobs: None,
+};
+
+/// The instrumented stepper configurations timed on the dense scenario,
+/// each armed before its run and torn down by [`disarm_observability`].
+const INSTRUMENTED: [(&str, fn()); 3] = [
+    ("null-subscriber", || wsan_obs::install(Arc::new(wsan_obs::NullSubscriber))),
+    ("metrics-enabled", || wsan_obs::set_metrics_enabled(true)),
+    ("flightrec-armed", || {
+        wsan_obs::flightrec::arm(4096, wsan_obs::Level::Trace);
+    }),
+];
+
+fn disarm_observability() {
+    wsan_obs::uninstall();
+    wsan_obs::set_metrics_enabled(false);
+    wsan_obs::flightrec::disarm();
 }
 
-fn parse_args() -> Result<Options, BenchError> {
-    const USAGE: &str = "supported: --iters N --seed S --quick --out PATH";
-    let mut opts = Options { iters: 20, seed: 42, out: None };
-    let mut args = std::env::args().skip(1);
-    fn value<T: std::str::FromStr>(flag: &str, next: Option<String>) -> Result<T, BenchError> {
-        let raw =
-            next.ok_or_else(|| BenchError::Usage(format!("{flag} needs a value; {USAGE}")))?;
-        raw.parse()
-            .map_err(|_| BenchError::Usage(format!("{flag} got malformed value '{raw}'; {USAGE}")))
-    }
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--iters" => opts.iters = value("--iters", args.next())?,
-            "--seed" => opts.seed = value("--seed", args.next())?,
-            "--out" => {
-                opts.out =
-                    Some(std::path::PathBuf::from(args.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--out needs a value; {USAGE}"))
-                    })?));
-            }
-            "--quick" => opts.iters = opts.iters.min(3),
-            other => return Err(BenchError::Usage(format!("unknown argument {other}; {USAGE}"))),
-        }
-    }
-    if opts.iters == 0 {
-        return Err(BenchError::Usage(format!("--iters must be at least 1; {USAGE}")));
-    }
-    Ok(opts)
-}
+/// A scenario's inputs: topology, channels, flows, and their schedule.
+type Workload = (Topology, ChannelSet, FlowSet, Schedule);
 
 fn n(i: usize) -> NodeId {
     NodeId::new(i)
@@ -109,7 +120,7 @@ fn n(i: usize) -> NodeId {
 /// The dense scenario: the WUSTL synthetic testbed under conservative
 /// reuse — essentially every frame slot holds a transmission, so the event
 /// engine's batching buys little.
-fn dense(seed: u64) -> Result<(Topology, ChannelSet, FlowSet, Schedule), BenchError> {
+fn dense(seed: u64) -> Result<Workload, BenchError> {
     let topo = testbeds::wustl(5);
     let channels = ChannelId::range(11, 14).map_err(|e| BenchError::Run(e.to_string()))?;
     let comm =
@@ -132,7 +143,7 @@ fn dense(seed: u64) -> Result<(Topology, ChannelSet, FlowSet, Schedule), BenchEr
 /// The sparse long-horizon scenario: two one-hop flows with 512-slot
 /// periods, so only two of the 512 slots per frame hold transmissions
 /// (< 1% occupancy) and the stepper wastes ~99% of its iterations.
-fn sparse() -> Result<(Topology, ChannelSet, FlowSet, Schedule), BenchError> {
+fn sparse() -> Result<Workload, BenchError> {
     let run = || -> Result<_, String> {
         let mut topo = Topology::new(
             "sparse",
@@ -172,12 +183,10 @@ fn sparse() -> Result<(Topology, ChannelSet, FlowSet, Schedule), BenchError> {
 
 fn time_scenario(
     name: &str,
-    topo: &Topology,
-    channels: &ChannelSet,
-    flows: &FlowSet,
-    schedule: &Schedule,
+    (topo, channels, flows, schedule): &Workload,
     cfg: &SimConfig,
     iters: usize,
+    time_instrumented: bool,
 ) -> Result<ScenarioResult, BenchError> {
     let sim = Simulator::try_new(topo, channels, flows, schedule)
         .map_err(|e| BenchError::Run(e.to_string()))?;
@@ -186,6 +195,11 @@ fn time_scenario(
     let occupancy = busy.len() as f64 / horizon as f64;
     let mut slot_samples: Vec<u64> = Vec::with_capacity(iters);
     let mut event_samples: Vec<u64> = Vec::with_capacity(iters);
+    let mut instrumented_samples: [Vec<u64>; 3] = Default::default();
+    let to_json = |report: &SimReport| {
+        serde_json::to_string(report)
+            .map_err(|e| BenchError::Run(format!("serializing sim report: {e}")))
+    };
     for _ in 0..iters {
         let start = Instant::now();
         let oracle = sim.run(cfg);
@@ -198,7 +212,25 @@ fn time_scenario(
                 "{name}: engines diverged inside the draw-order contract"
             )));
         }
+        if !time_instrumented {
+            continue;
+        }
+        let plain = to_json(&oracle)?;
+        for ((label, arm), samples) in INSTRUMENTED.iter().zip(&mut instrumented_samples) {
+            arm();
+            let start = Instant::now();
+            let report = sim.run(cfg);
+            samples.push(elapsed_ns(start));
+            disarm_observability();
+            if to_json(&report)? != plain {
+                return Err(BenchError::Run(format!(
+                    "{name}: the {label} run changed the simulation report"
+                )));
+            }
+        }
     }
+    let [null_subscriber, metrics_enabled, flightrec_armed] = instrumented_samples
+        .map(|mut samples| (!samples.is_empty()).then(|| median_ns(&mut samples)));
     let slots_median = median_ns(&mut slot_samples);
     let events_median = median_ns(&mut event_samples);
     let speedup = slots_median as f64 / events_median as f64;
@@ -210,6 +242,17 @@ fn time_scenario(
         events_median,
         speedup
     );
+    if let (Some(null), Some(metrics), Some(flightrec)) =
+        (null_subscriber, metrics_enabled, flightrec_armed)
+    {
+        println!(
+            "  {:>12}  null subscriber {:.3}x  metrics {:.3}x  flight recorder {:.3}x of uninstrumented",
+            "",
+            null as f64 / slots_median as f64,
+            metrics as f64 / slots_median as f64,
+            flightrec as f64 / slots_median as f64
+        );
+    }
     Ok(ScenarioResult {
         name: name.to_string(),
         flows: flows.len() as u64,
@@ -220,17 +263,16 @@ fn time_scenario(
         slot_stepper_median_ns: slots_median,
         event_driven_median_ns: events_median,
         speedup_events_vs_slots: speedup,
+        null_subscriber_median_ns: null_subscriber,
+        metrics_enabled_median_ns: metrics_enabled,
+        flightrec_armed_median_ns: flightrec_armed,
         reports_identical: true,
     })
 }
 
-fn elapsed_ns(start: Instant) -> u64 {
-    (start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64).max(1)
-}
-
 fn main() -> ExitCode {
     run_main(|| {
-        let opts = parse_args()?;
+        let opts = BenchArgs::parse(&SPEC)?;
         println!("== sim_bench: {} iters/engine, seed {} ==", opts.iters, opts.seed);
         let mut report = Report {
             schema: SCHEMA.to_string(),
@@ -238,42 +280,24 @@ fn main() -> ExitCode {
             seed: opts.seed,
             scenarios: Vec::new(),
         };
-        let (topo, channels, flows, schedule) = dense(0xFEED)?;
         let cfg =
             SimConfig { seed: opts.seed, repetitions: 50, window_reps: 5, ..SimConfig::default() };
         report.scenarios.push(time_scenario(
             "wustl-dense",
-            &topo,
-            &channels,
-            &flows,
-            &schedule,
+            &dense(0xFEED)?,
             &cfg,
             opts.iters,
+            true,
         )?);
-        let (topo, channels, flows, schedule) = sparse()?;
         let cfg = SimConfig {
             seed: opts.seed,
             repetitions: 400,
             window_reps: 10,
             ..SimConfig::default()
         };
-        report.scenarios.push(time_scenario(
-            "sparse-long",
-            &topo,
-            &channels,
-            &flows,
-            &schedule,
-            &cfg,
-            opts.iters,
-        )?);
-        let path = opts.out.unwrap_or_else(|| results_dir().join("BENCH_sim.json"));
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(write_err(dir))?;
-        }
-        let json = serde_json::to_string_pretty(&report)
-            .map_err(|e| BenchError::Run(format!("serializing report: {e}")))?;
-        std::fs::write(&path, json + "\n").map_err(write_err(&path))?;
-        println!("report written to {}", path.display());
+        report.scenarios.push(time_scenario("sparse-long", &sparse()?, &cfg, opts.iters, false)?);
+        write_report(&opts.out, &report)?;
+        println!("report written to {}", opts.out.display());
         Ok(())
     })
 }

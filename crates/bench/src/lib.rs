@@ -1,4 +1,6 @@
-//! Shared plumbing for the figure-regeneration binaries.
+//! Shared plumbing for the figure-regeneration binaries and the tracked
+//! `*_bench` binaries (whose flags, median, and report writer live in
+//! [`harness`]).
 //!
 //! Each `src/bin/figN*.rs` binary reproduces one or more figures of the
 //! paper's evaluation: it prints the same series the figure plots and dumps
@@ -20,8 +22,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod harness;
 pub mod sched;
 
+use harness::Flags;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -105,8 +109,10 @@ impl RunOptions {
         args: impl IntoIterator<Item = String>,
         default_sets: usize,
     ) -> Result<Self, BenchError> {
-        const USAGE: &str =
-            "supported: --sets N --seed S --quick --jobs N --resume --engine slots|events";
+        let mut flags = Flags::new(
+            args,
+            "supported: --sets N --seed S --quick --jobs N --resume --engine slots|events",
+        );
         let mut options = RunOptions {
             sets: default_sets,
             seed: 1,
@@ -115,34 +121,18 @@ impl RunOptions {
             resume: false,
             engine: wsan_sim::SimEngine::default(),
         };
-        let mut args = args.into_iter();
-        fn value<T: std::str::FromStr>(flag: &str, next: Option<String>) -> Result<T, BenchError> {
-            let raw =
-                next.ok_or_else(|| BenchError::Usage(format!("{flag} needs a value; {USAGE}")))?;
-            raw.parse().map_err(|_| {
-                BenchError::Usage(format!("{flag} expects an integer, got '{raw}'; {USAGE}"))
-            })
-        }
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--sets" => options.sets = value("--sets", args.next())?,
-                "--seed" => options.seed = value("--seed", args.next())?,
-                "--jobs" => options.jobs = value("--jobs", args.next())?,
-                "--engine" => {
-                    let raw = args.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--engine needs a value; {USAGE}"))
-                    })?;
-                    options.engine =
-                        raw.parse().map_err(|e| BenchError::Usage(format!("{e}; {USAGE}")))?;
-                }
+        while let Some(flag) = flags.next_flag() {
+            match flag.as_str() {
+                "--sets" => options.sets = flags.value(&flag)?,
+                "--seed" => options.seed = flags.value(&flag)?,
+                "--jobs" => options.jobs = flags.value(&flag)?,
+                "--engine" => options.engine = flags.value(&flag)?,
                 "--resume" => options.resume = true,
                 "--quick" => {
                     options.quick = true;
                     options.sets = options.sets.min(10);
                 }
-                other => {
-                    return Err(BenchError::Usage(format!("unknown argument {other}; {USAGE}")))
-                }
+                _ => return Err(flags.unknown(&flag)),
             }
         }
         Ok(options)

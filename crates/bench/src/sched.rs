@@ -1,10 +1,9 @@
-//! Shared scenarios for the scheduler hot-path benchmarks.
+//! Scenarios for the tracked scheduler hot-path benchmark.
 //!
-//! The criterion bench (`benches/scheduler.rs`) and the tracked
-//! `sched_bench` binary (which writes `BENCH_scheduler.json`) measure the
-//! same workloads, defined once here: both testbed scales (Indriya ~80
-//! nodes, WUSTL ~60 nodes) under a sparse and a dense peer-to-peer load,
-//! five channels each. Dense loads sit near the schedulability cliff the
+//! The `sched_bench` binary (which writes `BENCH_scheduler.json`) times
+//! the workloads defined here: both testbed scales (Indriya ~80 nodes,
+//! WUSTL ~60 nodes) under a sparse and a dense peer-to-peer load, five
+//! channels each. Dense loads sit near the schedulability cliff the
 //! paper's figures sweep, so RC's ρ-shrink loop — the hot path PR 5
 //! optimizes — is actually exercised.
 
@@ -80,15 +79,6 @@ pub fn contenders() -> Vec<(&'static str, Box<dyn Scheduler + Send + Sync>)> {
     ]
 }
 
-/// Median of a sample set, destructively (sorts the slice). Even-length
-/// samples take the lower middle — stable under the small counts
-/// `sched_bench --quick` uses.
-pub fn median_ns(samples: &mut [u64]) -> u64 {
-    assert!(!samples.is_empty(), "median of no samples");
-    samples.sort_unstable();
-    samples[(samples.len() - 1) / 2]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,12 +91,5 @@ mod tests {
             let schedule = rc.schedule(&flows, &model).expect("RC schedules the tracked load");
             assert!(schedule.entry_count() > 0);
         }
-    }
-
-    #[test]
-    fn median_takes_lower_middle() {
-        assert_eq!(median_ns(&mut [5]), 5);
-        assert_eq!(median_ns(&mut [4, 1, 3, 2]), 2);
-        assert_eq!(median_ns(&mut [9, 1, 5]), 5);
     }
 }

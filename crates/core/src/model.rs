@@ -1,6 +1,6 @@
 //! The network-side inputs a scheduler needs, precomputed once.
 
-use wsan_net::{CappedHops, ChannelSet, HopMatrix, ReuseGraph, Topology};
+use wsan_net::{CappedHops, ChannelSet, ReuseGraph, Topology};
 
 /// Precomputed network model handed to schedulers: the channel reuse graph's
 /// all-pairs hop distances, its diameter `λ_R`, and the channel count `|M|`.
@@ -39,19 +39,14 @@ impl NetworkModel {
         NetworkModel { hops, lambda_r, channels, node_count: reuse.node_count() }
     }
 
-    /// Builds the model from an externally computed hop matrix — e.g.
-    /// whole-plant reuse distances restricted to one shard's nodes, where
-    /// building the matrix from an induced subgraph would *overstate*
+    /// Builds the model from an externally computed capped hop table —
+    /// e.g. whole-plant reuse distances restricted to one shard's nodes,
+    /// where building the table from an induced subgraph would *overstate*
     /// distances (paths through other shards are invisible) and make reuse
-    /// decisions unsound.
-    pub fn from_hops(hops: HopMatrix, node_count: usize, channels: usize) -> Self {
-        Self::from_capped(CappedHops::from_dense(&hops), node_count, channels)
-    }
-
-    /// [`from_hops`](Self::from_hops) for distances already in capped form.
-    /// `λ_R` is taken from [`CappedHops::diameter`], so the table should be
-    /// exact (unsaturated, or saturated only beyond every finite distance
-    /// of interest) for the model to match the dense path.
+    /// decisions unsound. `λ_R` is taken from [`CappedHops::diameter`], so
+    /// the table should be exact (unsaturated, or saturated only beyond
+    /// every finite distance of interest) for the model to match the dense
+    /// path.
     pub fn from_capped(hops: CappedHops, node_count: usize, channels: usize) -> Self {
         let lambda_r = hops.diameter();
         NetworkModel { hops, lambda_r, channels, node_count }
@@ -127,7 +122,7 @@ mod tests {
     #[test]
     fn dense_shim_matches_capped_queries() {
         let reuse = ReuseGraph::from_edges(4, &[(n(0), n(1)), (n(1), n(2)), (n(2), n(3))]);
-        let dense = NetworkModel::from_hops(reuse.hop_matrix(), 4, 3);
+        let dense = NetworkModel::from_capped(CappedHops::from_dense(&reuse.hop_matrix()), 4, 3);
         let capped = NetworkModel::from_reuse_graph(&reuse, 3);
         assert_eq!(dense.lambda_r(), capped.lambda_r());
         for a in 0..4 {

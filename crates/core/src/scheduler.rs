@@ -130,8 +130,8 @@ struct EngineMetrics {
     runs: wsan_obs::Counter,
     placements: wsan_obs::Counter,
     misses: wsan_obs::Counter,
-    timer: wsan_obs::Timer,
-    place_timer: wsan_obs::Timer,
+    schedule_ns: wsan_obs::HdrHistogram,
+    place_ns: wsan_obs::HdrHistogram,
 }
 
 impl EngineMetrics {
@@ -141,8 +141,8 @@ impl EngineMetrics {
             runs: reg.counter("core.schedule.runs"),
             placements: reg.counter("core.schedule.placements"),
             misses: reg.counter("core.schedule.deadline_misses"),
-            timer: reg.timer("core.schedule"),
-            place_timer: reg.timer("core.schedule.place"),
+            schedule_ns: reg.quantile("core.schedule_ns"),
+            place_ns: reg.quantile("core.schedule.place_ns"),
         }
     }
 }
@@ -205,7 +205,7 @@ pub(crate) fn run_fixed_priority_onto<P: PlacePolicy>(
     let metrics = wsan_obs::metrics_enabled().then(EngineMetrics::new);
     let _timed = metrics.as_ref().map(|m| {
         m.runs.inc();
-        m.timer.start()
+        m.schedule_ns.start_nanos()
     });
     let _span = wsan_obs::span(
         wsan_obs::Level::Debug,
@@ -238,7 +238,7 @@ pub(crate) fn run_fixed_priority_onto<P: PlacePolicy>(
                     remaining: &remaining_links[i + 1..],
                 };
                 let placed = {
-                    let _place_timed = metrics.as_ref().map(|m| m.place_timer.start());
+                    let _place_timed = metrics.as_ref().map(|m| m.place_ns.start_nanos());
                     policy.place(&schedule, model, &req)
                 };
                 let Some((slot, offset)) = placed else {

@@ -1,9 +1,9 @@
 //! Tiny data-parallel helper over std scoped threads.
 //!
 //! Hosted in `wsan_net` so the graph layer's multi-source BFS builders can
-//! fan out over cores without a dependency cycle; `wsan_expr::parallel`
-//! re-exports these for the schedulability sweeps (100 independent flow
-//! sets per configuration point) and the campaign worker pool.
+//! fan out over cores without a dependency cycle; the schedulability
+//! sweeps (100 independent flow sets per configuration point) and the
+//! campaign worker pool in `wsan_expr` use it too.
 
 /// Applies `f` to `0..n` across up to `available_parallelism` threads and
 /// returns the results in index order.

@@ -15,6 +15,7 @@
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Number of linear sub-buckets per power-of-two block (2^6).
 const SUB_BUCKETS: u64 = 64;
@@ -104,6 +105,12 @@ impl HdrHistogram {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
+    /// Starts timing a section; its nanoseconds are recorded when the
+    /// guard drops, on every path out of the section.
+    pub fn start_nanos(&self) -> NanosGuard {
+        NanosGuard { histogram: self.clone(), started: Instant::now() }
+    }
+
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
@@ -191,6 +198,19 @@ impl HdrHistogram {
     }
 }
 
+/// RAII guard from [`HdrHistogram::start_nanos`].
+#[must_use = "dropping the guard records the elapsed time immediately"]
+pub struct NanosGuard {
+    histogram: HdrHistogram,
+    started: Instant,
+}
+
+impl Drop for NanosGuard {
+    fn drop(&mut self) {
+        self.histogram.record_nanos(self.started.elapsed());
+    }
+}
+
 /// Point-in-time state of a [`HdrHistogram`]: totals plus the
 /// p50/p90/p99/p999 quantiles.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -239,6 +259,16 @@ mod tests {
             assert!(lo <= v && v <= hi, "v={v} idx={idx} range=({lo},{hi})");
             assert!(idx < BUCKETS);
         }
+    }
+
+    #[test]
+    fn nanos_guard_records_once_on_drop() {
+        let h = HdrHistogram::new();
+        {
+            let _timed = h.start_nanos();
+            assert_eq!(h.count(), 0);
+        }
+        assert_eq!(h.count(), 1);
     }
 
     #[test]

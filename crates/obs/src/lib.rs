@@ -9,8 +9,9 @@
 //!   record). With no subscriber installed — the default — every emission
 //!   site costs one relaxed atomic load.
 //! - **Metrics** ([`metrics`]): named counters, gauges, fixed-bucket
-//!   histograms, HDR quantile histograms ([`hdr`], p50/p90/p99/p999), and
-//!   monotonic timers in a [`Registry`], snapshotting to
+//!   histograms, and HDR quantile histograms ([`hdr`], count, sum, and
+//!   p50/p90/p99/p999 — durations are recorded here, under names that
+//!   carry the unit) in a [`Registry`], snapshotting to
 //!   serde-serializable [`MetricsSnapshot`] reports. The global registry
 //!   is gated by [`set_metrics_enabled`] (default off), so components skip
 //!   instrument creation entirely on uninstrumented runs.
@@ -23,8 +24,9 @@
 //!   [`flightrec::arm`], dumped as JSONL on failure or on demand, and
 //!   exportable as Chrome `trace_event` JSON for Perfetto.
 //!
-//! Both facilities are off by default, and instrumented code gates on
-//! [`enabled`] / [`metrics_enabled`] before doing any work, so a seeded
+//! All four are off by default, and instrumented code gates on
+//! [`enabled`] / [`metrics_enabled`] before doing any work (an armed
+//! flight recorder raises the same gate as a subscriber), so a seeded
 //! simulation with observability disabled is bit-identical to an
 //! uninstrumented build.
 //!
@@ -55,17 +57,15 @@
 pub mod flightrec;
 pub mod hdr;
 pub mod metrics;
-pub mod profile;
 pub mod subscribers;
 pub mod trace;
 
 pub use flightrec::{chrome_trace, FlightRecord, FlightRecorder};
-pub use hdr::{HdrHistogram, HdrSnapshot};
+pub use hdr::{HdrHistogram, HdrSnapshot, NanosGuard};
 pub use metrics::{
     global as global_metrics, metrics_enabled, set_metrics_enabled, Counter, Gauge, Histogram,
-    MetricsSnapshot, Registry, Timer,
+    MetricsSnapshot, Registry,
 };
-pub use profile::{PhaseProfile, PhaseProfiler, PhaseTiming};
 pub use subscribers::{JsonLinesSubscriber, NullSubscriber, SharedBuffer, StderrSubscriber};
 pub use trace::{
     current_request, enabled, event, flush, install, kv, next_request_id, request_scope, span,
