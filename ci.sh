@@ -24,6 +24,10 @@ echo "$eq_prop" | grep -q "equivalence_exact_hops_matches_dense"
 echo "$eq_prop" | grep -q "equivalence_parallel_capped_build_is_byte_identical"
 echo "$eq_prop" | grep -q "equivalence_restricted_extraction_matches_dense"
 
+echo "==> pruned, row-parallel plant link generation matches its unpruned oracle"
+net_list="$(cargo test -q -p wsan-net --lib -- --list)"
+echo "$net_list" | grep -q "equivalence_pruned_parallel_links_match_reference"
+
 echo "==> event-vs-oracle sim equivalence suite runs in the default pass"
 eq_list="$(cargo test -q -p wsan-sim --test engine_equivalence -- --list)"
 echo "$eq_list" | grep -q "dense_contract_run_is_byte_identical"
@@ -85,6 +89,8 @@ test -s "$shb_dir/BENCH_shard.json"
 grep -q '"schema": "wsan.shard_bench/1"' "$shb_dir/BENCH_shard.json"
 grep -q '"speedup_vs_single"' "$shb_dir/BENCH_shard.json"
 grep -q '"median_schedule_ns"' "$shb_dir/BENCH_shard.json"
+grep -q '"plant_digest"' "$shb_dir/BENCH_shard.json"
+grep -q '"median_generate_ns"' "$shb_dir/BENCH_shard.json"
 # the committed snapshot must track the same schema
 grep -q '"schema": "wsan.shard_bench/1"' BENCH_shard.json
 cp "$shb_dir/BENCH_shard.json" "$fresh_bench_dir/"

@@ -3,12 +3,12 @@
 //! Compares freshly produced `BENCH_*.json` reports against the committed
 //! baselines in two ways:
 //!
-//! * **Deterministic fields must match exactly.** Digests, entry and
-//!   placement counts, colors, links, edges, diameters, horizons, busy
-//!   slots, byte sizes (`*_bytes`), and the equivalence flags
-//!   (`*_identical`, `queries_equivalent`) have no noise, so any
-//!   difference — or such a field, or a scenario, going missing — is a
-//!   behaviour change, not a slow run.
+//! * **Deterministic fields must match exactly.** Digests (`digest`,
+//!   `plant_digest`), entry and placement counts, colors, links, edges,
+//!   diameters, horizons, busy slots, byte sizes (`*_bytes`), and the
+//!   equivalence flags (`*_identical`, `queries_equivalent`) have no
+//!   noise, so any difference — or such a field, or a scenario, going
+//!   missing — is a behaviour change, not a slow run.
 //! * **Timings may not regress beyond the tolerance.** Every numeric
 //!   field whose key carries an `ns` segment (`median_delta_ns`,
 //!   `median_ns_per_schedule`) is compared as lower-is-better, so the
@@ -137,6 +137,7 @@ const EXACT_KEYS: &[&str] = &[
     "horizon",
     "busy_slots",
     "queries_equivalent",
+    "plant_digest",
 ];
 
 fn is_exact_key(key: &str) -> bool {
@@ -454,6 +455,33 @@ mod tests {
                 "scenarios[k=2].reports_identical: true -> false",
             ]
         );
+    }
+
+    #[test]
+    fn plant_digest_is_exact_and_generation_time_is_a_timing() {
+        let baseline = parse(
+            r#"{"scale":[{"target_nodes":5000,"links":100,"plant_digest":"00ab",
+                          "median_generate_ns":1000}]}"#,
+        );
+        let slower = parse(
+            r#"{"scale":[{"target_nodes":5000,"links":100,"plant_digest":"00ab",
+                          "median_generate_ns":9000}]}"#,
+        );
+        let mut out = Vec::new();
+        assert_eq!(mismatches("", &baseline, &slower, &mut out), 2);
+        assert!(out.is_empty(), "{out:?}");
+        let mut timings = Vec::new();
+        collect("", &baseline, &slower, &mut timings);
+        assert_eq!(timings.len(), 1);
+        assert_eq!(timings[0].path, "scale[0].median_generate_ns");
+
+        let other_plant = parse(
+            r#"{"scale":[{"target_nodes":5000,"links":100,"plant_digest":"00cd",
+                          "median_generate_ns":1000}]}"#,
+        );
+        let mut out = Vec::new();
+        mismatches("", &baseline, &other_plant, &mut out);
+        assert_eq!(out, vec!["scale[0].plant_digest: \"00ab\" -> \"00cd\""]);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! (schema-checked by ci.sh) so the sharded-scheduling wall-clock
 //! trajectory is comparable across PRs. Every timed run also re-checks
 //! the stitched-schedule digest against a sequential (`jobs = 1`) run:
-//! the pool must never change the schedule.
+//! the pool must never change the schedule. The 5k/10k-node scale points
+//! also time plant generation and pin each plant by a digest of its
+//! positions and link PRRs.
 //!
 //! ```sh
 //! cargo run --release -p wsan-bench --bin shard_bench [-- --iters 5 --quick --out PATH]
@@ -21,7 +23,8 @@
 
 use serde::Serialize;
 use std::process::ExitCode;
-use wsan_bench::harness::{median_ns, write_report, BenchArgs, BenchSpec};
+use std::time::Instant;
+use wsan_bench::harness::{elapsed_ns, median_ns, write_report, BenchArgs, BenchSpec};
 use wsan_bench::{run_main, BenchError};
 use wsan_core::shard::ShardConfig;
 use wsan_expr::sharding::{schedule_sharded, ShardedReport};
@@ -74,6 +77,13 @@ struct ScalePoint {
     target_nodes: u64,
     /// Nodes in the generated plant.
     nodes: u64,
+    /// Links in the generated plant.
+    links: u64,
+    /// FNV-1a digest of the plant's node positions and link PRR bits —
+    /// identical for every generation of the same seed.
+    plant_digest: String,
+    /// Median wall-clock of `plants::generate` (links, connectivity check).
+    median_generate_ns: u64,
     /// Shards (= gateways).
     shards: u64,
     /// Spectrum colors the shard conflict graph needed.
@@ -166,6 +176,63 @@ fn time_point(
     Ok(TimedPoint { report, median_schedule_ns, median_stitch_ns, median_validate_ns })
 }
 
+/// A plant generated `iters` times, with the median generation time.
+struct TimedPlant {
+    plant: Plant,
+    digest: u64,
+    median_ns: u64,
+}
+
+/// Generates the `target`-node city plant `iters` times; every generation
+/// must produce the same plant digest.
+fn time_generate(target: usize, seed: u64, iters: usize) -> Result<TimedPlant, BenchError> {
+    let cfg = PlantConfig::city(format!("city-{target}"), target);
+    let mut samples = Vec::with_capacity(iters);
+    let mut last: Option<(Plant, u64)> = None;
+    for _ in 0..iters {
+        let start = Instant::now();
+        let plant = generate(&cfg, seed);
+        samples.push(elapsed_ns(start));
+        let digest = plant_digest(&plant);
+        if last.as_ref().is_some_and(|(_, prev)| *prev != digest) {
+            return Err(BenchError::Run(format!(
+                "{target} nodes: plant digest changed between generations"
+            )));
+        }
+        last = Some((plant, digest));
+    }
+    let (plant, digest) = last.expect("at least one generation");
+    Ok(TimedPlant { plant, digest, median_ns: median_ns(&mut samples) })
+}
+
+/// FNV-1a 64 over the node count, every node position, the link count,
+/// and every link's endpoints and per-channel PRR bits in both directions.
+fn plant_digest(plant: &Plant) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |v: u64| {
+        for byte in v.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(plant.node_count() as u64);
+    for node in plant.nodes() {
+        let p = plant.position(node);
+        for coord in [p.x, p.y, p.z] {
+            eat(coord.to_bits());
+        }
+    }
+    eat(plant.links().len() as u64);
+    for link in plant.links() {
+        eat(link.a.index() as u64);
+        eat(link.b.index() as u64);
+        for (ab, ba) in link.prr_ab.iter().zip(&link.prr_ba) {
+            eat(u64::from(ab.to_bits()) << 32 | u64::from(ba.to_bits()));
+        }
+    }
+    h
+}
+
 fn main() -> ExitCode {
     run_main(|| {
         let opts = BenchArgs::parse(&SPEC)?;
@@ -222,13 +289,17 @@ fn main() -> ExitCode {
 
         // Scale sweep: the same pipeline at 5k and 10k nodes — the sizes
         // the dense n² u32 matrix priced out before the capped rebuild.
-        // Fewer iterations: one plant generation alone is O(n²) and
-        // dominates at 10k, and the scenario section above already pins
-        // the fine-grained timing trajectory.
+        // Fewer iterations: plant generation (grid-bucketed, so
+        // O(nodes × neighborhood)) still dominates at 10k, and the
+        // scenario section above already pins the fine-grained timing
+        // trajectory.
         let scale_iters = opts.iters.min(2);
         for target in [5_000usize, 10_000] {
-            let scale_plant =
-                generate(&PlantConfig::city(format!("city-{target}"), target), opts.seed);
+            let TimedPlant {
+                plant: scale_plant,
+                digest: plant_digest,
+                median_ns: median_generate_ns,
+            } = time_generate(target, opts.seed, scale_iters)?;
             let shards = 8usize;
             let t = time_point(
                 &scale_plant,
@@ -238,8 +309,9 @@ fn main() -> ExitCode {
                 &format!("{target} nodes"),
             )?;
             println!(
-                "  n={target}: schedule {:>8.2} ms  stitch {:>6.2} ms  \
+                "  n={target}: generate {:>8.2} ms  schedule {:>8.2} ms  stitch {:>6.2} ms  \
                  validate {:>6.2} ms  {} colors",
+                median_generate_ns as f64 / 1e6,
                 t.median_schedule_ns as f64 / 1e6,
                 t.median_stitch_ns as f64 / 1e6,
                 t.median_validate_ns as f64 / 1e6,
@@ -248,6 +320,9 @@ fn main() -> ExitCode {
             report.scale.push(ScalePoint {
                 target_nodes: target as u64,
                 nodes: t.report.nodes as u64,
+                links: scale_plant.links().len() as u64,
+                plant_digest: format!("{plant_digest:016x}"),
+                median_generate_ns,
                 shards: shards as u64,
                 colors: t.report.colors as u64,
                 flows: t.report.flows as u64,

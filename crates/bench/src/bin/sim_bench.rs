@@ -24,7 +24,8 @@
 //! cargo run --release -p wsan-bench --bin sim_bench [-- --iters 20 --quick --out PATH]
 //! ```
 //!
-//! * `--iters N` — timed runs per engine/scenario (default 20),
+//! * `--iters N` — timed runs per engine/scenario (default 20), after
+//!   one untimed warm-up run of each engine,
 //! * `--seed S` — simulation seed (default 42),
 //! * `--quick` — caps iterations at 3 for a smoke pass,
 //! * `--out PATH` — output path (default `results/BENCH_sim.json`).
@@ -200,6 +201,11 @@ fn time_scenario(
         serde_json::to_string(report)
             .map_err(|e| BenchError::Run(format!("serializing sim report: {e}")))
     };
+    // One untimed run of each engine, so no timed sample (the stepper's
+    // first one in particular) pays for cold caches and first-touch
+    // allocation.
+    std::hint::black_box(sim.run(cfg));
+    std::hint::black_box(sim.run_events(cfg));
     for _ in 0..iters {
         let start = Instant::now();
         let oracle = sim.run(cfg);

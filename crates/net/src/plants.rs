@@ -11,13 +11,18 @@
 //!
 //! Determinism: every draw affecting a pair `{a, b}` comes from an RNG
 //! seeded by `(seed, a, b)`, so the generated plant is independent of link
-//! enumeration order and identical across runs and thread counts.
+//! enumeration order and identical across runs and thread counts. That
+//! keying is what lets link generation fan out over rows and stop a pair's
+//! draws early once no later draw can give it a nonzero PRR.
 
 use crate::channel::BAND_SIZE;
+use crate::parallel::parallel_map_with;
 use crate::propagation::PropagationModel;
 use crate::{ChannelSet, CommGraph, NodeId, Position, Prr, ReuseGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// Layout and scale of a generated plant: a grid of identical multi-floor
 /// buildings separated by streets.
@@ -307,7 +312,7 @@ fn generate_unchecked(config: &PlantConfig, seed: u64) -> Plant {
     let (positions, building_of) = place_nodes(config, &mut rng);
 
     let cutoff = link_cutoff_m(&config.model, shadow_margin_db(config));
-    let links = generate_links(config, seed, &positions, cutoff, &channel_offsets);
+    let links = generate_links(config, seed, &positions, cutoff, &channel_offsets, 0);
 
     let mut adjacency = vec![Vec::new(); positions.len()];
     for (i, link) in links.iter().enumerate() {
@@ -362,82 +367,194 @@ fn place_nodes(config: &PlantConfig, rng: &mut StdRng) -> (Vec<Position>, Vec<u3
     (positions, building_of)
 }
 
+/// Rows (lower endpoints `a`) evaluated per parallel work item.
+const ROWS_PER_CHUNK: usize = 64;
+
 /// Evaluates every pair within `cutoff` through the propagation model,
 /// keeping the links with a nonzero PRR somewhere. Neighbor candidates
 /// come from a uniform `cutoff × cutoff` spatial grid, so the work is
 /// `O(nodes × neighborhood)` instead of `O(nodes²)`.
+///
+/// Rows fan out in [`ROWS_PER_CHUNK`] blocks over `workers` threads (`0`
+/// selects `available_parallelism`). Each row's links are sorted by `b`
+/// and the blocks are appended in row order, so the result is sorted by
+/// `(a, b)` and identical for every worker count.
 fn generate_links(
     config: &PlantConfig,
     seed: u64,
     positions: &[Position],
     cutoff: f64,
     channel_offsets: &[f64],
+    workers: usize,
 ) -> Vec<PlantLink> {
-    let model = &config.model;
+    let lm = LinkModel::new(&config.model, channel_offsets);
     let cell = cutoff.max(1.0);
     let key = |p: &Position| ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64);
-    let mut grid: std::collections::BTreeMap<(i64, i64), Vec<usize>> =
-        std::collections::BTreeMap::new();
+    let mut grid: BTreeMap<(i64, i64), Vec<usize>> = BTreeMap::new();
     for (i, p) in positions.iter().enumerate() {
         grid.entry(key(p)).or_default().push(i);
     }
-    let mut links = Vec::new();
-    for (i, pa) in positions.iter().enumerate() {
-        let (kx, ky) = key(pa);
-        for nx in (kx - 1)..=(kx + 1) {
-            for ny in (ky - 1)..=(ky + 1) {
-                let Some(bucket) = grid.get(&(nx, ny)) else { continue };
-                for &j in bucket {
-                    if j <= i {
-                        continue;
-                    }
-                    let pb = &positions[j];
-                    let d = pa.distance(pb);
-                    if d > cutoff {
-                        continue;
-                    }
-                    if let Some(link) = link_between(model, seed, i, j, pa, pb, d, channel_offsets)
-                    {
-                        links.push(link);
+    let block = |chunk: usize| {
+        let rows = chunk * ROWS_PER_CHUNK..((chunk + 1) * ROWS_PER_CHUNK).min(positions.len());
+        let mut links = Vec::new();
+        for i in rows {
+            let pa = &positions[i];
+            let row_start = links.len();
+            let (kx, ky) = key(pa);
+            for nx in (kx - 1)..=(kx + 1) {
+                for ny in (ky - 1)..=(ky + 1) {
+                    let Some(bucket) = grid.get(&(nx, ny)) else { continue };
+                    for &j in bucket {
+                        if j <= i {
+                            continue;
+                        }
+                        let pb = &positions[j];
+                        let d = pa.distance(pb);
+                        if d > cutoff {
+                            continue;
+                        }
+                        if let Some(link) = link_between(&lm, seed, i, j, pa, pb, d) {
+                            links.push(link);
+                        }
                     }
                 }
             }
+            links[row_start..].sort_unstable_by_key(|l: &PlantLink| l.b);
+        }
+        links
+    };
+    // Each finished block is appended as soon as every block before it
+    // is, and freed: holding all blocks until the end would double the
+    // peak memory of the link table.
+    let merged = Mutex::new(Merge { next: 0, pending: BTreeMap::new(), links: Vec::new() });
+    parallel_map_with(positions.len().div_ceil(ROWS_PER_CHUNK), workers, |chunk| {
+        let rows = block(chunk);
+        let mut guard = merged.lock().expect("no worker panics while holding the merge lock");
+        let m = &mut *guard;
+        m.pending.insert(chunk, rows);
+        while let Some(rows) = m.pending.remove(&m.next) {
+            m.links.extend(rows);
+            m.next += 1;
+        }
+    });
+    merged.into_inner().expect("no worker panics while holding the merge lock").links
+}
+
+/// In-order assembly of the row blocks that workers finish out of order.
+struct Merge {
+    /// The next block to append.
+    next: usize,
+    /// Finished blocks waiting for an earlier one.
+    pending: BTreeMap<usize, Vec<PlantLink>>,
+    /// The links of blocks `0..next`, in order.
+    links: Vec<PlantLink>,
+}
+
+/// Largest magnitude [`gaussian`] can return: Box–Muller at its smallest
+/// first draw `u1 = ε` with `cos = 1` is `sqrt(-2·ln ε) ≈ 8.4904244`,
+/// rounded up here.
+const GAUSSIAN_BOUND: f64 = 8.490_425;
+
+/// Slack (dB) between the analytic zero-PRR threshold and
+/// [`LinkModel::dead_rssi`], far wider than the rounding of any RSSI sum.
+const DEAD_RSSI_SLACK_DB: f64 = 1e-6;
+
+/// Everything a pair's draw reads besides the pair itself: the radio
+/// model, the campus-wide channel offsets, and exact early-out thresholds.
+/// An RSSI below `dead_rssi` gives PRR exactly 0, and the headrooms bound
+/// how much the draws still to come can add to an RSSI.
+struct LinkModel<'a> {
+    model: &'a PropagationModel,
+    channel_offsets: &'a [f64],
+    /// RSSI below which `prr_from_rssi` is exactly zero; `-∞` when the
+    /// model gives no such guarantee, which turns every shortcut off.
+    dead_rssi: f64,
+    /// Most the per-channel shadowing, the channel offset, and the
+    /// asymmetry can add to `mean + pair_shadow`.
+    pair_headroom: f64,
+    /// Most the asymmetry can add to `mean + shadow` of one channel.
+    direction_headroom: f64,
+}
+
+impl<'a> LinkModel<'a> {
+    fn new(model: &'a PropagationModel, channel_offsets: &'a [f64]) -> Self {
+        let max_offset = channel_offsets.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        LinkModel {
+            model,
+            channel_offsets,
+            dead_rssi: dead_rssi_dbm(model),
+            pair_headroom: GAUSSIAN_BOUND
+                * (model.channel_shadowing_sigma_db.abs() + model.asymmetry_sigma_db.abs())
+                + max_offset,
+            direction_headroom: GAUSSIAN_BOUND * model.asymmetry_sigma_db.abs(),
         }
     }
-    links.sort_by_key(|l| (l.a, l.b));
-    links
+}
+
+/// The RSSI `R*` below which `model.prr_from_rssi` returns exactly zero:
+/// the logistic crosses the floor at `midpoint + slope·ln(floor/(1−floor))`,
+/// less [`DEAD_RSSI_SLACK_DB`]. The curve is nondecreasing in RSSI only for
+/// a positive slope, so `R*` is used only then, and only when it is finite
+/// and the model itself confirms a zero PRR there; otherwise `-∞`.
+fn dead_rssi_dbm(model: &PropagationModel) -> f64 {
+    let floor = model.prr_floor;
+    let r = model.prr_midpoint_dbm + model.prr_slope_db * (floor / (1.0 - floor)).ln()
+        - DEAD_RSSI_SLACK_DB;
+    let sound = r.is_finite() && model.prr_slope_db > 0.0 && model.prr_from_rssi(r) == Prr::ZERO;
+    if sound {
+        r
+    } else {
+        f64::NEG_INFINITY
+    }
 }
 
 /// Draws one pair's per-channel PRR from an RNG keyed by `(seed, a, b)`;
 /// returns `None` when every direction of every channel lands on zero.
-#[allow(clippy::too_many_arguments)]
+///
+/// Draws that can no longer lift any RSSI to `lm.dead_rssi` are skipped:
+/// the whole pair after its first draw, a channel's two asymmetry draws,
+/// and a direction's `exp`. The RNG belongs to this pair alone, so
+/// skipping its tail changes no other pair, and the result is the one the
+/// full draw sequence gives.
 fn link_between(
-    model: &PropagationModel,
+    lm: &LinkModel,
     seed: u64,
     a: usize,
     b: usize,
     pa: &Position,
     pb: &Position,
     d: f64,
-    channel_offsets: &[f64],
 ) -> Option<PlantLink> {
+    let model = lm.model;
     let floors = pa.floors_between(pb, model.floor_height_m);
     let mean = model.mean_rssi_dbm(d, floors);
     let mut rng = StdRng::seed_from_u64(pair_seed(seed, a, b));
     // Pair-level shadowing: one draw for the whole band (the testbeds
     // draw order, replayed from the pair-keyed RNG).
     let pair_shadow = gaussian(&mut rng) * model.pair_shadowing_sigma_db;
+    if mean + pair_shadow + lm.pair_headroom < lm.dead_rssi {
+        return None;
+    }
     let mut prr_ab = [0.0f32; BAND_SIZE];
     let mut prr_ba = [0.0f32; BAND_SIZE];
     let mut any = false;
     for ch in 0..BAND_SIZE {
         let shadow = pair_shadow
             + gaussian(&mut rng) * model.channel_shadowing_sigma_db
-            + channel_offsets[ch];
+            + lm.channel_offsets[ch];
+        if mean + shadow + lm.direction_headroom < lm.dead_rssi {
+            // both directions of this channel are 0: keep the stream aligned
+            skip_gaussian(&mut rng);
+            skip_gaussian(&mut rng);
+            continue;
+        }
         for dir in [&mut prr_ab, &mut prr_ba] {
             // ... plus a small per-direction asymmetry
-            let asym = gaussian(&mut rng) * model.asymmetry_sigma_db;
-            let prr = model.prr_from_rssi(mean + shadow + asym).value() as f32;
+            let rssi = mean + shadow + gaussian(&mut rng) * model.asymmetry_sigma_db;
+            if rssi < lm.dead_rssi {
+                continue;
+            }
+            let prr = model.prr_from_rssi(rssi).value() as f32;
             dir[ch] = prr;
             any |= prr > 0.0;
         }
@@ -460,6 +577,18 @@ fn pair_seed(seed: u64, a: usize, b: usize) -> u64 {
 fn gaussian(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen::<f64>();
+    box_muller(u1, u2)
+}
+
+/// Advances `rng` exactly as [`gaussian`] does, without the `ln`, `sqrt`
+/// and `cos`.
+fn skip_gaussian(rng: &mut StdRng) {
+    let _: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let _: f64 = rng.gen::<f64>();
+}
+
+/// The Box–Muller transform of two uniform draws, `u1` in `(0, 1)`.
+fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
@@ -467,6 +596,185 @@ fn gaussian(rng: &mut StdRng) -> f64 {
 mod tests {
     use super::*;
     use crate::ChannelId;
+    use proptest::prelude::*;
+
+    /// The unpruned, sequential link generator the fast path replaced, kept
+    /// verbatim as its oracle: every pair makes all 49 draws, and the links
+    /// are sorted once at the end.
+    fn reference_links(
+        config: &PlantConfig,
+        seed: u64,
+        positions: &[Position],
+        cutoff: f64,
+        channel_offsets: &[f64],
+    ) -> Vec<PlantLink> {
+        let model = &config.model;
+        let cell = cutoff.max(1.0);
+        let key = |p: &Position| ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64);
+        let mut grid: std::collections::BTreeMap<(i64, i64), Vec<usize>> =
+            std::collections::BTreeMap::new();
+        for (i, p) in positions.iter().enumerate() {
+            grid.entry(key(p)).or_default().push(i);
+        }
+        let mut links = Vec::new();
+        for (i, pa) in positions.iter().enumerate() {
+            let (kx, ky) = key(pa);
+            for nx in (kx - 1)..=(kx + 1) {
+                for ny in (ky - 1)..=(ky + 1) {
+                    let Some(bucket) = grid.get(&(nx, ny)) else { continue };
+                    for &j in bucket {
+                        if j <= i {
+                            continue;
+                        }
+                        let pb = &positions[j];
+                        let d = pa.distance(pb);
+                        if d > cutoff {
+                            continue;
+                        }
+                        if let Some(link) =
+                            reference_link_between(model, seed, i, j, pa, pb, d, channel_offsets)
+                        {
+                            links.push(link);
+                        }
+                    }
+                }
+            }
+        }
+        links.sort_by_key(|l| (l.a, l.b));
+        links
+    }
+
+    /// The oracle's per-pair draw: all 1 + 16 × 3 Gaussians, an `exp` each.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_link_between(
+        model: &PropagationModel,
+        seed: u64,
+        a: usize,
+        b: usize,
+        pa: &Position,
+        pb: &Position,
+        d: f64,
+        channel_offsets: &[f64],
+    ) -> Option<PlantLink> {
+        let floors = pa.floors_between(pb, model.floor_height_m);
+        let mean = model.mean_rssi_dbm(d, floors);
+        let mut rng = StdRng::seed_from_u64(pair_seed(seed, a, b));
+        // Pair-level shadowing: one draw for the whole band (the testbeds
+        // draw order, replayed from the pair-keyed RNG).
+        let pair_shadow = gaussian(&mut rng) * model.pair_shadowing_sigma_db;
+        let mut prr_ab = [0.0f32; BAND_SIZE];
+        let mut prr_ba = [0.0f32; BAND_SIZE];
+        let mut any = false;
+        for ch in 0..BAND_SIZE {
+            let shadow = pair_shadow
+                + gaussian(&mut rng) * model.channel_shadowing_sigma_db
+                + channel_offsets[ch];
+            for dir in [&mut prr_ab, &mut prr_ba] {
+                // ... plus a small per-direction asymmetry
+                let asym = gaussian(&mut rng) * model.asymmetry_sigma_db;
+                let prr = model.prr_from_rssi(mean + shadow + asym).value() as f32;
+                dir[ch] = prr;
+                any |= prr > 0.0;
+            }
+        }
+        any.then(|| PlantLink { a: NodeId::new(a), b: NodeId::new(b), prr_ab, prr_ba })
+    }
+
+    /// The inputs `generate_unchecked` hands to `generate_links`.
+    fn link_inputs(config: &PlantConfig, seed: u64) -> (Vec<f64>, Vec<Position>, f64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let offsets: Vec<f64> =
+            (0..BAND_SIZE).map(|_| gaussian(&mut rng) * config.channel_offset_sigma_db).collect();
+        let (positions, _) = place_nodes(config, &mut rng);
+        let cutoff = link_cutoff_m(&config.model, shadow_margin_db(config));
+        (offsets, positions, cutoff)
+    }
+
+    /// 1–4 buildings in every street-grid shape (a row of 3 or 4 spans two
+    /// grid cells, so rows draw from several buckets), 1–4 floors, so the
+    /// 2- and 3-floor pairs that pruning drops are present.
+    fn arb_layout() -> impl Strategy<Value = (PlantConfig, u64)> {
+        const SHAPES: [(usize, usize); 8] =
+            [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (1, 3), (1, 4), (2, 2)];
+        (0..SHAPES.len(), 1usize..=4, 1usize..=24, 0u64..u64::MAX).prop_map(
+            |(shape, floors, nodes_per_floor, seed)| {
+                let (buildings_x, buildings_y) = SHAPES[shape];
+                let cfg = PlantConfig {
+                    buildings_x,
+                    buildings_y,
+                    floors,
+                    nodes_per_floor,
+                    ..small_config()
+                };
+                (cfg, seed)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The pruned, row-parallel generator returns exactly the links,
+        /// PRRs and order of the unpruned sequential one, at any worker
+        /// count.
+        #[test]
+        fn equivalence_pruned_parallel_links_match_reference((cfg, seed) in arb_layout()) {
+            let (offsets, positions, cutoff) = link_inputs(&cfg, seed);
+            let reference = reference_links(&cfg, seed, &positions, cutoff, &offsets);
+            for workers in 1..=3 {
+                let fast = generate_links(&cfg, seed, &positions, cutoff, &offsets, workers);
+                prop_assert_eq!(&fast, &reference, "{} workers", workers);
+            }
+        }
+    }
+
+    #[test]
+    fn gaussian_bound_holds_at_the_smallest_draw() {
+        let extreme = box_muller(f64::EPSILON, 0.0);
+        assert!(extreme <= GAUSSIAN_BOUND);
+        assert!(GAUSSIAN_BOUND - extreme < 1e-6, "bound {GAUSSIAN_BOUND} is loose: {extreme}");
+        // the magnitude only falls as u1 grows or the angle turns
+        for (u1, u2) in [(2.0 * f64::EPSILON, 0.0), (1e-9, 0.5), (0.5, 0.25), (f64::EPSILON, 0.5)] {
+            assert!(box_muller(u1, u2).abs() <= GAUSSIAN_BOUND);
+        }
+    }
+
+    #[test]
+    fn headrooms_cover_the_largest_remaining_draws() {
+        let model = PropagationModel::default();
+        let offsets = [-1.0, 2.5, 0.3];
+        let lm = LinkModel::new(&model, &offsets);
+        let g = box_muller(f64::EPSILON, 0.0);
+        let asym = g * model.asymmetry_sigma_db;
+        assert!(lm.direction_headroom >= asym);
+        assert!(lm.pair_headroom >= g * model.channel_shadowing_sigma_db + 2.5 + asym);
+    }
+
+    #[test]
+    fn dead_rssi_gives_exactly_zero_prr() {
+        let model = PropagationModel::default();
+        let dead = dead_rssi_dbm(&model);
+        assert!(dead.is_finite());
+        assert_eq!(model.prr_from_rssi(dead), Prr::ZERO);
+        // ... and sits just under the first nonzero PRR
+        assert!(model.prr_from_rssi(dead + 1e-3).value() > 0.0);
+        // a model without a usable floor turns every shortcut off
+        let no_floor = PropagationModel { prr_floor: 0.0, ..PropagationModel::default() };
+        assert_eq!(dead_rssi_dbm(&no_floor), f64::NEG_INFINITY);
+        let falling = PropagationModel { prr_slope_db: -1.0, ..PropagationModel::default() };
+        assert_eq!(dead_rssi_dbm(&falling), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn skip_gaussian_advances_the_rng_like_gaussian() {
+        let mut drawn = StdRng::seed_from_u64(0xfeed);
+        let mut skipped = drawn.clone();
+        for _ in 0..64 {
+            gaussian(&mut drawn);
+            skip_gaussian(&mut skipped);
+            assert_eq!(drawn, skipped);
+        }
+    }
 
     fn small_config() -> PlantConfig {
         PlantConfig {
